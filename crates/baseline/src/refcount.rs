@@ -10,7 +10,6 @@
 
 use dgr_telemetry::LifecycleTracker;
 use dgr_workloads::churn::ChurnOp;
-use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Default)]
 struct RcNode {
@@ -143,7 +142,7 @@ impl RcStore {
 }
 
 /// Result of replaying a churn trace against reference counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RcChurnReport {
     /// Vertices reclaimed by counting.
     pub reclaimed: usize,

@@ -14,15 +14,15 @@
 //! batch-size histogram. Pass `--small` for a CI-sized workload.
 
 use dgr_bench::{emit_json, f2, print_table, JsonRecord, JsonValue};
-use dgr_core::threaded::{reset_shared_r, run_mark1_shared_with};
+use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::PartitionStrategy;
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
 use dgr_sim::SharedGraph;
 use dgr_telemetry::{
-    bucket_label, chrome_trace_json, events_jsonl, timeline_text, CounterId, GaugeId, HistId,
-    Registry, TELEMETRY_ENABLED,
+    bucket_label, chrome_trace_json, events_jsonl, timeline_text, CounterId, GaugeId,
+    HeartbeatHandle, HistId, Registry, TELEMETRY_ENABLED,
 };
 use dgr_workloads::graphs::binary_tree_dfs;
 
@@ -136,7 +136,13 @@ fn main() {
     let shared = SharedGraph::from_store(binary_tree_dfs(depth));
     reset_shared_r(&shared);
     let telem = Registry::new(pes);
-    let stats = run_mark1_shared_with(&shared, pes, PartitionStrategy::Block, &telem);
+    let stats = run_mark1_shared_observed(
+        &shared,
+        pes,
+        PartitionStrategy::Block,
+        &telem,
+        &HeartbeatHandle::default(),
+    );
     let snap = gather(&telem);
     print_table(
         &format!("threaded mark1, tree depth {depth}, {pes} PEs, block partition"),

@@ -26,10 +26,10 @@
 
 use dgr_bench::{emit_json, f2, print_table, timed, JsonValue};
 use dgr_core::driver::run_mark1_bsp;
-use dgr_core::threaded::{reset_shared_r, run_mark1_shared_with, ThreadedMarkStats};
+use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed, ThreadedMarkStats};
 use dgr_graph::{GraphStore, PartitionStrategy};
 use dgr_sim::SharedGraph;
-use dgr_telemetry::{events_jsonl, Phase, Registry, TELEMETRY_ENABLED};
+use dgr_telemetry::{events_jsonl, HeartbeatHandle, Phase, Registry, TELEMETRY_ENABLED};
 use dgr_trace::{attribution, blame, blame_text, parse_events};
 use dgr_workloads::graphs::{binary_tree_dfs, random_digraph};
 
@@ -51,8 +51,15 @@ fn measure(shared: &SharedGraph, pes: u16) -> Cell {
     for _ in 0..REPS {
         reset_shared_r(shared);
         let telem = Registry::new(pes);
-        let (stats, ms) =
-            timed(|| run_mark1_shared_with(shared, pes, PartitionStrategy::Block, &telem));
+        let (stats, ms) = timed(|| {
+            run_mark1_shared_observed(
+                shared,
+                pes,
+                PartitionStrategy::Block,
+                &telem,
+                &HeartbeatHandle::default(),
+            )
+        });
         if best.as_ref().is_none_or(|b| ms < b.wall_ms) {
             best = Some(Cell {
                 wall_ms: ms,

@@ -1,9 +1,8 @@
 //! Shared helpers for the evaluation harness.
 //!
 //! Each experiment in `EXPERIMENTS.md` is regenerated by one binary in
-//! `src/bin/` (tables printed to stdout) or one Criterion bench in
-//! `benches/` (timings). This library holds the table formatter and small
-//! conveniences they share.
+//! `src/bin/` (tables printed to stdout). This library holds the table
+//! formatter and small conveniences they share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //!
 //! The paper remarks that the per-vertex `mt-cnt` / `mt-par` fields "incur
 //! a high space overhead" and that "it is possible to combine all of the
-//! mt-cnt's and mt-par's into just two words on each PE" [6]. This module
+//! mt-cnt's and mt-par's into just two words on each PE" \[6\]. This module
 //! implements that design: the marking tree is built over *processing
 //! elements* rather than vertices, with Dijkstra–Scholten-style engagement:
 //!
@@ -29,7 +29,6 @@
 use std::collections::VecDeque;
 
 use dgr_graph::{Color, GraphStore, PartitionMap, PartitionStrategy, Slot, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Per-PE marking state: exactly the two words the paper promises.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,7 +42,7 @@ struct PeState {
 }
 
 /// Cost accounting for a compressed pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompressedStats {
     /// Vertices marked.
     pub marked: usize,
@@ -168,12 +167,6 @@ pub fn run_mark1_compressed(
     }
     assert!(done, "compressed marking drained without termination");
     stats
-}
-
-/// Per-vertex marking bytes of the compressed scheme (one bit, rounded to
-/// a byte here) versus the full scheme's two slots.
-pub fn compressed_footprint_per_vertex() -> usize {
-    1
 }
 
 #[cfg(test)]

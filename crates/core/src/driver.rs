@@ -12,7 +12,6 @@ use dgr_graph::{
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
 use dgr_telemetry::{CounterId, Phase, Registry};
-use serde::{Deserialize, Serialize};
 
 use crate::handler::handle_mark;
 use crate::invariants::check_invariants;
@@ -47,7 +46,7 @@ impl Default for MarkRunConfig {
 }
 
 /// Statistics of a completed marking pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MarkStats {
     /// Marking messages delivered (mark + return events).
     pub events: u64,
@@ -216,16 +215,6 @@ pub fn run_mark1_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
 ///
 /// Panics if the graph has no root or termination is not signalled.
 pub fn run_mark2(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
-    run_mark2_with(g, cfg, &Registry::new(cfg.num_pes))
-}
-
-/// [`run_mark2`] with an explicit telemetry registry (see
-/// [`run_mark1_with`] for what is recorded).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_mark2`].
-pub fn run_mark2_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry) -> MarkStats {
     let root = g.root().expect("marking needs a root");
     reset_slot(g, Slot::R);
     let mut state = MarkState::new();
@@ -241,7 +230,7 @@ pub fn run_mark2_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
             prior: Priority::Vital,
         }],
         Phase::Mr,
-        telem,
+        &Registry::new(cfg.num_pes),
     );
     assert!(state.r_done, "M_R drained without termination signal");
     stats
@@ -255,21 +244,6 @@ pub fn run_mark2_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
 ///
 /// Panics if termination is not signalled.
 pub fn run_mark3(g: &mut GraphStore, tasks: &TaskEndpoints, cfg: &MarkRunConfig) -> MarkStats {
-    run_mark3_with(g, tasks, cfg, &Registry::new(cfg.num_pes))
-}
-
-/// [`run_mark3`] with an explicit telemetry registry: the pass is wrapped
-/// in an `M_T` span with the same per-PE counters as [`run_mark1_with`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_mark3`].
-pub fn run_mark3_with(
-    g: &mut GraphStore,
-    tasks: &TaskEndpoints,
-    cfg: &MarkRunConfig,
-    telem: &Registry,
-) -> MarkStats {
     reset_slot(g, Slot::T);
     let mut state = MarkState::new();
     state.begin_t(tasks.seeds().len() as u32);
@@ -281,13 +255,14 @@ pub fn run_mark3_with(
             par: MarkParent::TaskRootPar,
         })
         .collect();
-    let stats = run_pass(g, cfg, &mut state, Slot::T, initial, Phase::Mt, telem);
+    let telem = Registry::new(cfg.num_pes);
+    let stats = run_pass(g, cfg, &mut state, Slot::T, initial, Phase::Mt, &telem);
     assert!(state.t_done, "M_T drained without termination signal");
     stats
 }
 
 /// Statistics of a round-synchronous (BSP) marking pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BspStats {
     /// Synchronous rounds executed — the pass's *parallel time* when every
     /// PE executes one task per round.
@@ -307,23 +282,6 @@ pub struct BspStats {
 ///
 /// Panics if the graph has no root or termination is not signalled.
 pub fn run_mark1_bsp(g: &mut GraphStore, num_pes: u16, strategy: PartitionStrategy) -> BspStats {
-    run_mark1_bsp_with(g, num_pes, strategy, &Registry::new(num_pes))
-}
-
-/// [`run_mark1_bsp`] with an explicit telemetry registry: the pass is
-/// wrapped in an `M_R` span, each PE's executed tasks land in its
-/// mark-event counter, and every round emits an instant event carrying
-/// the number of tasks it executed.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_mark1_bsp`].
-pub fn run_mark1_bsp_with(
-    g: &mut GraphStore,
-    num_pes: u16,
-    strategy: PartitionStrategy,
-    telem: &Registry,
-) -> BspStats {
     use std::collections::VecDeque;
     let root = g.root().expect("marking needs a root");
     reset_slot(g, Slot::R);
@@ -345,20 +303,16 @@ pub fn run_mark1_bsp_with(
 
     let mut stats = BspStats::default();
     let mut buf: Vec<MarkMsg> = Vec::new();
-    let _pass = telem.span(0, 0, Phase::Mr, "bsp");
     while queues.iter().any(|q| !q.is_empty()) {
         stats.rounds += 1;
-        let round_start = stats.events;
         let mut staged: Vec<MarkMsg> = Vec::new();
-        for (pe, q) in queues.iter_mut().enumerate() {
+        for q in queues.iter_mut() {
             if let Some(m) = q.pop_front() {
-                telem.pe(pe as u16).inc(CounterId::MarkEvents);
                 handle_mark(&mut state, g, m, &mut |m| buf.push(m));
                 stats.events += 1;
                 staged.append(&mut buf);
             }
         }
-        telem.instant(0, 0, Phase::Mr, "bsp_round", stats.events - round_start);
         for m in staged {
             let pe = pe_of(&m);
             queues[pe].push_back(m);

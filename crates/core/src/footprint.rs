@@ -3,16 +3,15 @@
 //! The paper notes that the algorithm "as presented incurs a high space
 //! overhead, in that each vertex requires space for mt-cnt, mt-par, and
 //! marking bits", and points to a compression (all `mt-cnt`s and `mt-par`s
-//! folded into two words per PE) described in the companion report [6].
+//! folded into two words per PE) described in the companion report \[6\].
 //! This module measures the uncompressed overhead this implementation
 //! actually pays — experiment T4 reports it — and documents the compressed
 //! bound for comparison.
 
 use dgr_graph::{MarkSlot, Vertex};
-use serde::{Deserialize, Serialize};
 
 /// Byte-level footprint of the marking machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Footprint {
     /// Size of one marking slot (`color` + `mt-cnt` + `mt-par` + `prior`).
     pub slot_bytes: usize,

@@ -1,12 +1,11 @@
 //! Marking task messages.
 
 use dgr_graph::{MarkParent, Priority, Slot, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// A marking task, represented (like every task) as a message `<s, d>`:
 /// the destination vertex is where the task executes, the parent is the
 /// source in the marking tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarkMsg {
     /// `mark1(v, par)` — Figure 4-1: the simplified algorithm, tracing
     /// `args(v)` in the R slot.

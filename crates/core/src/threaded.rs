@@ -131,37 +131,22 @@ pub fn run_mark1_shared(
     num_pes: u16,
     strategy: PartitionStrategy,
 ) -> ThreadedMarkStats {
-    run_mark1_shared_with(shared, num_pes, strategy, &Registry::new(num_pes))
-}
-
-/// [`run_mark1_shared`] with an explicit telemetry registry: the pass is
-/// wrapped in an `M_R` span, each PE's executed marking tasks land in its
-/// mark-event counter, and the underlying runtime records deque depth,
-/// steals, drained batch sizes and park events per PE.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_mark1_shared`].
-pub fn run_mark1_shared_with(
-    shared: &SharedGraph,
-    num_pes: u16,
-    strategy: PartitionStrategy,
-    telem: &Registry,
-) -> ThreadedMarkStats {
     run_mark1_shared_observed(
         shared,
         num_pes,
         strategy,
-        telem,
+        &Registry::new(num_pes),
         &HeartbeatHandle::default(),
     )
 }
 
-/// [`run_mark1_shared_with`] plus a liveness pulse: the pass brackets an
-/// `M_R` phase on `hb` and the runtime beats delivery progress per local
-/// drain run, so the `dgr-observe` watchdog can supervise a long pass
-/// from another thread. With the default (no-op) handle this is exactly
-/// [`run_mark1_shared_with`].
+/// [`run_mark1_shared`] with an explicit telemetry registry and a
+/// liveness pulse: the pass is wrapped in an `M_R` span, each PE's
+/// executed marking tasks land in its mark-event counter, and the
+/// underlying runtime records deque depth, steals, drained batch sizes
+/// and park events per PE. The pass also brackets an `M_R` phase on `hb`
+/// and the runtime beats delivery progress per local drain run, so the
+/// `dgr-observe` watchdog can supervise a long pass from another thread.
 ///
 /// # Panics
 ///

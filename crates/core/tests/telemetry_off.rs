@@ -54,21 +54,6 @@ mod feature_off {
         assert_eq!(pulse.progress_total(), 0);
     }
 
-    /// Flow stamping adds no bytes to hot-path messages: the causal tag
-    /// the threaded runtime pairs with every work item is zero-sized, so
-    /// the `(FlowTag, MarkMsg)` it queues has the layout of the bare
-    /// message.
-    #[test]
-    fn flow_tags_add_nothing_to_messages() {
-        use dgr_core::MarkMsg;
-        use dgr_telemetry::FlowTag;
-        assert_eq!(std::mem::size_of::<FlowTag>(), 0);
-        assert_eq!(
-            std::mem::size_of::<(FlowTag, MarkMsg)>(),
-            std::mem::size_of::<MarkMsg>()
-        );
-    }
-
     /// The lifecycle tracker collectors thread through their reclaim
     /// paths is zero-sized and silent: census, reclaim and meter calls
     /// vanish, and a closed cycle reports the default ledger.

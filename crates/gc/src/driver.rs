@@ -199,10 +199,10 @@ impl GcDriver {
     }
 
     /// Per-cycle telemetry reports (phase wall-clock durations, message
-    /// tallies, marking census), oldest first. Bounded at
-    /// [`TIMELINE_CAP`] cycles: older entries are dropped. Durations and
-    /// marking counts are always populated; the message counters are zero
-    /// unless the `telemetry` feature is on.
+    /// tallies, marking census), oldest first. Bounded at 4096 cycles:
+    /// older entries are dropped. Durations and marking counts are always
+    /// populated; the message counters are zero unless the `telemetry`
+    /// feature is on.
     pub fn timeline(&self) -> &VecDeque<CycleTelemetry> {
         &self.timeline
     }

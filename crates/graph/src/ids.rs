@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex in the computation graph.
 ///
 /// A `VertexId` is an index into the [`GraphStore`](crate::GraphStore) that
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.index(), 3);
 /// assert_eq!(v.to_string(), "v3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VertexId(u32);
 
 impl VertexId {
@@ -63,7 +61,7 @@ impl fmt::Display for VertexId {
 /// assert_eq!(pe.index(), 2);
 /// assert_eq!(pe.to_string(), "pe2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeId(u16);
 
 impl PeId {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// A strict primitive operator.
@@ -11,7 +9,7 @@ use crate::value::Value;
 /// Strict operators need the values of all their arguments before they can
 /// compute (the paper's footnote 4); the reduction engine therefore requests
 /// every argument *vitally*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrimOp {
     /// Integer addition.
     Add,
@@ -96,7 +94,7 @@ impl fmt::Display for PrimOp {
 /// Labels drive the reduction process; the marking processes in `dgr-core`
 /// never inspect them (marking is purely a matter of graph connectivity,
 /// which is the paper's central observation).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum NodeLabel {
     /// An already-computed literal value.
     Lit(Value),

@@ -8,8 +8,6 @@
 //! processes in `dgr-core` are tested against this oracle, and the
 //! stop-the-world baseline collector in `dgr-baseline` is built on it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::VertexId;
 use crate::store::GraphStore;
 use crate::vertex::{Priority, RequestKind};
@@ -26,7 +24,7 @@ use crate::vertex::{Priority, RequestKind};
 /// assert!(s.contains(VertexId::new(3)));
 /// assert_eq!(s.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VertexSet {
     bits: Vec<u64>,
     len: usize,
@@ -122,7 +120,7 @@ impl Extend<VertexId> for VertexSet {
 /// The paper's construction introduces a virtual vertex `taskroot_i` per PE
 /// whose args are "the source or destination of some task in taskpool(i)",
 /// and a `troot` above them; here we simply collect the endpoints.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskEndpoints {
     seeds: Vec<VertexId>,
 }
@@ -167,7 +165,7 @@ impl FromIterator<VertexId> for TaskEndpoints {
 }
 
 /// Classification of a task `<s, d>` per Properties 3–6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskClass {
     /// `d ∈ R_v` — the result is known to be needed (Property 3).
     Vital,
@@ -296,7 +294,7 @@ pub fn garbage(g: &GraphStore, r: &VertexSet) -> VertexSet {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Oracle {
     /// `R`: root-reachable vertices.
     pub r: VertexSet,

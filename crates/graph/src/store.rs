@@ -1,15 +1,13 @@
 //! The graph store: the vertex universe `V`, the free list `F`, the root,
 //! and the partition of vertices among processing elements.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GraphError;
 use crate::ids::{PeId, VertexId};
 use crate::label::NodeLabel;
 use crate::vertex::{MarkSlot, Requester, Slot, Vertex};
 
 /// How vertices are assigned to processing elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// `v mod n`: neighboring indices land on different PEs (fine-grained,
     /// maximizes task traffic between PEs).
@@ -29,7 +27,7 @@ pub enum PartitionStrategy {
 /// assert_eq!(p.pe_of(VertexId::new(5)).index(), 1);
 /// assert_eq!(p.num_pes(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {
     num_pes: u16,
     capacity: usize,
@@ -139,7 +137,7 @@ pub enum HeapDelta {
 /// marking epoch per [`Slot`] and one touch epoch for the task-activity
 /// stamps. Epochs start at 1 so the all-zero state of a fresh vertex is
 /// always stale (= reads as reset / untouched).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Epochs {
     /// Current marking cycle per slot, indexed by [`Slot::index`].
     pub mark: [u32; 2],
@@ -178,7 +176,7 @@ impl Default for Epochs {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraphStore {
     verts: Vec<Vertex>,
     free: Vec<VertexId>,
@@ -400,13 +398,6 @@ impl GraphStore {
     /// Panics if `id` is out of range.
     pub fn vertex_mut(&mut self, id: VertexId) -> &mut Vertex {
         &mut self.verts[id.index()]
-    }
-
-    /// Fallible shared access.
-    pub fn try_vertex(&self, id: VertexId) -> Result<&Vertex, GraphError> {
-        self.verts
-            .get(id.index())
-            .ok_or(GraphError::InvalidVertex(id))
     }
 
     // ------------------------------------------------------------------

@@ -8,15 +8,13 @@
 //! performed by `dgr-core`'s cooperating `expand-node` so that marking
 //! invariants are preserved.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GraphError;
 use crate::ids::VertexId;
 use crate::label::NodeLabel;
 use crate::store::GraphStore;
 
 /// A reference from a template node to one of its arguments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TemplateRef {
     /// Another node of the same template, by local index.
     Local(usize),
@@ -30,7 +28,7 @@ pub enum TemplateRef {
 }
 
 /// One node of a template subgraph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemplateNode {
     /// The label the instantiated vertex receives.
     pub label: NodeLabel,
@@ -70,7 +68,7 @@ impl TemplateNode {
 /// assert_eq!(tpl.arity(), 1);
 /// assert_eq!(tpl.extra_vertices(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Template {
     name: String,
     arity: usize,

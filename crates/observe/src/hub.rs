@@ -133,7 +133,7 @@ impl ObserveHub {
     }
 
     /// A facade handle on this hub's pulse, for wiring into drivers
-    /// (`GcDriver::attach_heartbeat`, `ThreadedRuntime::run_observed`).
+    /// (`GcDriver::attach_heartbeat`, `StealRuntime::run_observed`).
     /// Zero-sized — and silent — in a default (no-`telemetry`) build.
     pub fn heartbeat_handle(&self) -> HeartbeatHandle {
         HeartbeatHandle::from_shared(Arc::clone(&self.heartbeat))

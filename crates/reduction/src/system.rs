@@ -435,11 +435,6 @@ impl System {
         }
         t
     }
-
-    /// Consumes the system, returning the graph.
-    pub fn into_graph(self) -> GraphStore {
-        self.graph
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! The paper assumes "an arbitrary number of autonomous processing elements
 //! having only local store and communicating via messages", with task
 //! execution atomic with respect to the vertices it manipulates. This crate
-//! supplies two interchangeable realizations of that machine:
+//! supplies two realizations of that machine:
 //!
 //! * [`DetSim`] — a **deterministic event simulator**. Every pending task is
 //!   a message in a per-PE, per-[`Lane`] mailbox; a seeded
@@ -11,19 +11,13 @@
 //!   globally atomic (one event at a time), which is strictly stronger than
 //!   the paper's per-vertex atomicity, and the seeded random policy lets
 //!   property tests quantify over adversarial interleavings.
-//! * [`ThreadedRuntime`] — a **real parallel runtime**: one OS thread per
-//!   PE, crossbeam channels as mailboxes, and a [`SharedGraph`] whose
-//!   per-vertex `parking_lot` mutexes provide exactly the paper's atomicity
-//!   granularity. Termination is detected with a global in-flight message
-//!   counter (quiescence).
-//! * [`StealRuntime`] — the **work-stealing runtime**: per-PE Chase–Lev
-//!   deques ([`StealDeque`]) with a sharded lock-free mailbox mesh
-//!   ([`MailboxGrid`]) for cross-PE envelopes, adaptive parking, and
-//!   critical-path depth hints on its `u64` tasks. This is the fast
-//!   substrate the scalability experiments measure; the channel runtime
-//!   is retained as the simpler generic-message baseline.
-//!
-//! The marking algorithms in `dgr-core` run unchanged on all of them.
+//! * [`StealRuntime`] — a **real parallel runtime**: one OS thread per PE,
+//!   per-PE Chase–Lev deques ([`StealDeque`]) with a sharded lock-free
+//!   mailbox mesh ([`MailboxGrid`]) for cross-PE envelopes, adaptive
+//!   parking, and critical-path depth hints on its `u64` tasks. Its
+//!   marking passes run over a [`SharedGraph`], whose per-vertex mutexes
+//!   provide exactly the paper's atomicity granularity. Termination is
+//!   detected with a global in-flight task counter (quiescence).
 //!
 //! # Example
 //!
@@ -52,7 +46,6 @@ pub mod quiesce;
 mod shared;
 mod stats;
 pub mod steal;
-mod threaded;
 
 pub use deque::{Steal, StealDeque};
 pub use det::{DetSim, SchedPolicy};
@@ -62,4 +55,3 @@ pub use quiesce::QuiesceState;
 pub use shared::SharedGraph;
 pub use stats::SimStats;
 pub use steal::{SpawnScope, StealRuntime, StealStats};
-pub use threaded::{ThreadCtx, ThreadedRuntime};

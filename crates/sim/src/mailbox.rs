@@ -1,10 +1,10 @@
 //! Sharded lock-free mailboxes: one SPSC ring per (sender, receiver) pair.
 //!
-//! The channel-based runtime funnels every message for a PE through one
-//! `crossbeam` channel — a mutex-protected queue whose lock all senders
-//! and the receiver contend on, and whose wakeup path (condvar) is what
-//! made tree_d15 marking *slower* past 4 PEs. This grid replaces that
-//! funnel with `n²` single-producer single-consumer rings: PE `s` sending
+//! A single channel per PE would funnel every message for that PE through
+//! one mutex-protected queue whose lock all senders and the receiver
+//! contend on, and whose condvar wakeup path made tree_d15 marking
+//! *slower* past 4 PEs in the first threaded runtime. This grid uses
+//! `n²` single-producer single-consumer rings instead: PE `s` sending
 //! to PE `d` touches only ring `(s, d)`, so two senders to the same
 //! destination never contend on anything, and a delivery is one Release
 //! store observed by one Acquire load — no locks, no syscalls, no condvar.

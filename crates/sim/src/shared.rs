@@ -1,12 +1,13 @@
 //! A computation graph shared between PE threads with per-vertex locks.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dgr_graph::{Epochs, GraphError, GraphStore, MarkWords, NodeLabel, Slot, Vertex, VertexId};
-use parking_lot::{Mutex, MutexGuard};
 
 /// The computation graph in the form the threaded runtime uses: each vertex
-/// behind its own `parking_lot` mutex, the free list behind one more.
+/// behind its own mutex, the free list behind one more. A lock poisoned by
+/// a panicking holder is re-entered (the poison flag is ignored).
 ///
 /// This realizes the paper's atomicity assumption at exactly the granularity
 /// Section 6 discusses: a task locks the vertices it manipulates, marking
@@ -73,14 +74,22 @@ impl SharedGraph {
     /// Converts back into a plain store (consumes the shared graph; all
     /// locks must be free, which is guaranteed by ownership).
     pub fn into_store(self) -> GraphStore {
-        let mut verts: Vec<Vertex> = self.verts.into_iter().map(|m| m.into_inner()).collect();
+        let mut verts: Vec<Vertex> = self
+            .verts
+            .into_iter()
+            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         self.marks.write_back(&mut verts, Slot::R);
         let [epoch_r, epoch_t] = self.mark_epochs;
         let epochs = Epochs {
             mark: [epoch_r.into_inner(), epoch_t.into_inner()],
             touch: self.touch_epoch,
         };
-        GraphStore::from_parts(verts, self.free.into_inner(), self.root, epochs)
+        let free = self
+            .free
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        GraphStore::from_parts(verts, free, self.root, epochs)
     }
 
     /// The dense atomic marking state of every vertex's R slot — the
@@ -123,7 +132,9 @@ impl SharedGraph {
     ///
     /// Panics if `id` is out of range.
     pub fn lock(&self, id: VertexId) -> MutexGuard<'_, Vertex> {
-        self.verts[id.index()].lock()
+        self.verts[id.index()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Locks two distinct vertices in id order (deadlock-free for any set
@@ -153,13 +164,10 @@ impl SharedGraph {
     ///
     /// Returns [`GraphError::OutOfVertices`] if the free list is empty.
     pub fn alloc(&self, label: NodeLabel) -> Result<VertexId, GraphError> {
-        let id = {
-            let mut free = self.free.lock();
-            free.pop().ok_or(GraphError::OutOfVertices {
-                requested: 1,
-                available: 0,
-            })?
-        };
+        let id = self.free_list().pop().ok_or(GraphError::OutOfVertices {
+            requested: 1,
+            available: 0,
+        })?;
         let mut v = self.lock(id);
         *v = Vertex::new(label);
         // A recycled slot must not inherit the previous occupant's
@@ -175,12 +183,17 @@ impl SharedGraph {
             v.clear_for_free();
             self.marks.clear(id.index());
         }
-        self.free.lock().push(id);
+        self.free_list().push(id);
     }
 
     /// Number of vertices currently on the free list.
     pub fn free_count(&self) -> usize {
-        self.free.lock().len()
+        self.free_list().len()
+    }
+
+    /// Locks the free list, ignoring poison like [`SharedGraph::lock`].
+    fn free_list(&self) -> MutexGuard<'_, Vec<VertexId>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

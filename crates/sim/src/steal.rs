@@ -1,13 +1,12 @@
 //! The work-stealing runtime: per-PE Chase–Lev deques, a sharded mailbox
 //! mesh for cross-PE envelopes, and adaptive parking.
 //!
-//! This is the second generation of the threaded runtime. The first
-//! ([`ThreadedRuntime`](crate::ThreadedRuntime)) gives every PE one
-//! channel mailbox; measurements (`baselines/BENCH_scalability.json`)
-//! showed marking improving only ~1.4× from 1 → 16 PEs and *anti-scaling*
-//! past 4 PEs on tree_d15, because every delivery serialized on the
-//! channel's internal lock and every empty-mailbox wait took the
-//! condvar/syscall wakeup path. Here nothing funnels:
+//! This is the second generation of the threaded runtime. The first gave
+//! every PE one channel mailbox, and marking on it improved only ~1.4×
+//! from 1 → 16 PEs and *anti-scaled* past 4 PEs on tree_d15, because
+//! every delivery serialized on the channel's internal lock and every
+//! empty-mailbox wait took the condvar/syscall wakeup path. Here nothing
+//! funnels:
 //!
 //! * each PE owns a [`StealDeque`]: local spawns are LIFO push/pop
 //!   (depth-first, cache-warm), and idle PEs steal half a victim's
@@ -30,13 +29,13 @@
 //!   tasks touches the counter a handful of times.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dgr_graph::PeId;
 use dgr_telemetry::{
     CounterId, GaugeId, HeartbeatHandle, HistId, PeSchedSnapshot, Phase, Registry, SchedState,
 };
-use parking_lot::Mutex;
 
 use crate::deque::StealDeque;
 use crate::mailbox::MailboxGrid;
@@ -88,7 +87,6 @@ pub struct StealStats {
 /// mailbox grid.
 pub struct SpawnScope<'w> {
     me: PeId,
-    num_pes: usize,
     out: &'w mut Vec<(PeId, u64)>,
 }
 
@@ -96,11 +94,6 @@ impl SpawnScope<'_> {
     /// The PE executing the current task.
     pub fn me(&self) -> PeId {
         self.me
-    }
-
-    /// Number of PEs in the system.
-    pub fn num_pes(&self) -> usize {
-        self.num_pes
     }
 
     /// Spawns `task` for PE `dst` (which may be this PE).
@@ -125,7 +118,12 @@ impl ParkSlot {
         // ordering: SeqCst pairs with the parker's SeqCst flag store (see
         // the field docs) — rules out both sides missing each other.
         if self.parked.load(Ordering::SeqCst) {
-            if let Some(t) = self.thread.lock().as_ref() {
+            if let Some(t) = self
+                .thread
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .as_ref()
+            {
                 t.unpark();
             }
         }
@@ -397,7 +395,10 @@ impl StealRuntime {
                         spill_hw: 0,
                     };
                     w.note_spill_depth(); // overflowed seeds count too
-                    *mesh.parks[me].thread.lock() = Some(std::thread::current());
+                    *mesh.parks[me]
+                        .thread
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
                     run_worker(&mut w, mesh, handler, hb, multicore);
                     mesh.telem.sched_finish(me as u16);
                     let shard = mesh.telem.pe(me as u16);
@@ -406,7 +407,7 @@ impl StealRuntime {
                     shard.gauge_max(GaugeId::DequeHighWater, w.deque_high as i64);
                     shard.gauge_max(GaugeId::SpillHighWater, w.spill_hw as i64);
                     shard.observe(HistId::DequeDepthPeak, w.deque_high);
-                    let mut t = totals.lock();
+                    let mut t = totals.lock().unwrap_or_else(PoisonError::into_inner);
                     t.executed += w.executed;
                     t.envelopes += w.envelopes;
                     t.steals += w.steals;
@@ -449,7 +450,7 @@ impl StealRuntime {
                 );
             }
         }
-        totals.into_inner()
+        totals.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -460,7 +461,6 @@ fn run_chain<F>(w: &mut Worker, mesh: &Mesh<'_>, handler: &F, first: u64) -> u64
 where
     F: Fn(&mut SpawnScope<'_>, u64) + Sync,
 {
-    let n = mesh.deques.len();
     let me = w.me;
     let mut ran = 0u64;
     let mut task = first;
@@ -468,7 +468,6 @@ where
         ran += 1;
         let mut scope = SpawnScope {
             me: PeId::new(me as u16),
-            num_pes: n,
             out: &mut w.spawned,
         };
         handler(&mut scope, task);
@@ -479,6 +478,8 @@ where
         for i in (0..w.spawned.len()).rev() {
             if w.spawned[i].0.index() == me {
                 next = Some(w.spawned.swap_remove(i).1);
+                // Still a local send, even though it skips the deque.
+                mesh.telem.pe(me as u16).inc(CounterId::SendsLocal);
                 break;
             }
         }

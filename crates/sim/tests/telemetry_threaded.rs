@@ -1,42 +1,42 @@
 //! Telemetry primitives under real parallelism: worker threads of the
-//! threaded runtime hammer shared counters/histograms concurrently and
-//! the totals must still balance.
+//! work-stealing runtime hammer shared counters/histograms concurrently
+//! and the totals must still balance.
 //!
 //! The first tests target `dgr_telemetry::metrics` directly (those types
 //! are always the real atomics, regardless of the `telemetry` feature);
 //! the ones behind `#[cfg(feature = "telemetry")]` go through the
-//! feature-switched registry facade via [`ThreadedRuntime::run_with`].
+//! feature-switched registry facade via [`StealRuntime::run_observed`].
 
 use dgr_graph::PeId;
-use dgr_sim::{Envelope, Lane, ThreadedRuntime};
+use dgr_sim::StealRuntime;
 use dgr_telemetry::metrics::{Counter, Histogram};
 
 #[test]
 fn concurrent_counter_increments_all_land() {
     let counter = Counter::new();
-    let rt = ThreadedRuntime::new(4);
-    let initial: Vec<_> = (0..128)
-        .map(|i| Envelope::new(PeId::new(i % 4), Lane::Marking, 3u32))
-        .collect();
-    let handled = rt.run(initial, |ctx, hops| {
+    let initial: Vec<_> = (0..128).map(|i| (PeId::new(i % 4), 3u64)).collect();
+    let stats = StealRuntime::new(4).run(initial, |scope, hops| {
         counter.inc();
         if hops > 0 {
-            let next = PeId::new((ctx.me().raw() + 1) % 4);
-            ctx.send(Envelope::new(next, Lane::Marking, hops - 1));
+            let next = PeId::new((scope.me().raw() + 1) % 4);
+            scope.spawn(next, hops - 1);
         }
     });
-    assert_eq!(handled, 128 * 4);
-    assert_eq!(counter.get(), handled, "no increment lost under contention");
+    assert_eq!(stats.executed, 128 * 4);
+    assert_eq!(
+        counter.get(),
+        stats.executed,
+        "no increment lost under contention"
+    );
 }
 
 #[test]
 fn concurrent_histogram_observations_balance() {
     let hist = Histogram::new();
-    let rt = ThreadedRuntime::new(4);
-    let initial: Vec<_> = (0..64)
-        .map(|i| Envelope::new(PeId::new(i % 4), Lane::Marking, u64::from(i)))
+    let initial: Vec<_> = (0..64u16)
+        .map(|i| (PeId::new(i % 4), u64::from(i)))
         .collect();
-    rt.run(initial, |_, v: u64| {
+    StealRuntime::new(4).run(initial, |_, v| {
         hist.observe(v);
     });
     let s = hist.snapshot();
@@ -49,46 +49,40 @@ fn concurrent_histogram_observations_balance() {
 #[cfg(feature = "telemetry")]
 mod with_feature {
     use super::*;
-    use dgr_telemetry::{CounterId, GaugeId, Registry};
+    use dgr_telemetry::{CounterId, HeartbeatHandle, Registry};
 
     #[test]
-    fn run_with_accounts_for_every_message() {
+    fn run_observed_accounts_for_every_task() {
         let telem = Registry::new(4);
-        let rt = ThreadedRuntime::new(4);
-        let initial: Vec<_> = (0..32)
-            .map(|i| Envelope::new(PeId::new(i % 4), Lane::Marking, 2u32))
-            .collect();
-        let handled = rt.run_with(
+        let initial: Vec<_> = (0..32).map(|i| (PeId::new(i % 4), 2u64)).collect();
+        let stats = StealRuntime::new(4).run_observed(
             initial,
-            |ctx, hops| {
+            |scope, hops| {
                 if hops > 0 {
-                    ctx.send(Envelope::new(ctx.me(), Lane::Marking, hops - 1));
-                    let next = PeId::new((ctx.me().raw() + 1) % 4);
-                    ctx.send(Envelope::new(next, Lane::Marking, 0));
+                    let me = scope.me();
+                    scope.spawn(me, hops - 1);
+                    scope.spawn(PeId::new((me.raw() + 1) % 4), 0);
                 }
             },
             &telem,
+            &HeartbeatHandle::default(),
         );
         let snap = telem.snapshot();
         assert_eq!(
             snap.counter_total(CounterId::Tasks),
-            handled,
+            stats.executed,
             "per-PE task tallies sum to the runtime's own count"
         );
         assert_eq!(
             snap.counter_total(CounterId::SendsLocal) + snap.counter_total(CounterId::SendsRemote),
-            handled - 32,
-            "every non-seed message was sent through a ctx"
+            stats.executed - 32,
+            "every non-seed task was spawned through a scope"
         );
         assert!(snap.counter_total(CounterId::SendsLocal) > 0);
         assert!(snap.counter_total(CounterId::SendsRemote) > 0);
-        let merged = snap.merged();
-        assert_eq!(
-            merged.gauge(GaugeId::MailboxDepth),
-            0,
-            "all delivered mail was consumed"
+        assert!(
+            snap.counter_total(CounterId::Batches) > 0,
+            "remote spawns arrive as drained mailbox batches"
         );
-        assert!(merged.gauge(GaugeId::MailboxHighWater) >= 1);
-        assert!(snap.counter_total(CounterId::Batches) > 0);
     }
 }

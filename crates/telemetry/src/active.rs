@@ -24,23 +24,9 @@ use crate::sched::{PeSchedSnapshot, SchedState, StateClock};
 /// Default per-PE event-ring capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
 
-/// An opaque flow id travelling with an in-flight message in runtimes
-/// that have no per-message sequence number of their own (the threaded
-/// runtime). `0` is reserved for "no flow" ([`FlowTag::NONE`]); the noop
-/// counterpart is zero-sized, so `(FlowTag, M)` adds nothing to a work
-/// item in a default build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlowTag(pub u64);
-
-impl FlowTag {
-    /// The "no flow" tag: carried by messages that are not stamped and
-    /// ignored on delivery.
-    pub const NONE: FlowTag = FlowTag(0);
-}
-
 /// The recording handle instrumented drivers beat their liveness pulse
 /// through: a cloneable `Arc` around a concrete
-/// [`Heartbeat`](crate::heartbeat::Heartbeat).
+/// [`Heartbeat`].
 ///
 /// The noop counterpart is zero-sized, so a driver field holding one
 /// costs nothing in a default build. An observer (the `dgr-observe`
@@ -175,9 +161,6 @@ pub struct Registry {
     /// Per-PE scheduler state clocks (one slot per shard).
     sched: StateClock,
     t0: Instant,
-    /// Flow ids handed out by [`Registry::flow_send_tag`]; starts at 1 so
-    /// 0 stays the [`FlowTag::NONE`] sentinel.
-    next_flow: AtomicU64,
     /// Sender Lamport clock of every flow sent but not yet delivered —
     /// the receive side merges it and removes the entry, so what remains
     /// is exactly the in-flight set.
@@ -197,7 +180,6 @@ impl Registry {
             shards: (0..n).map(|_| PeShard::new(ring_capacity)).collect(),
             sched: StateClock::new(n),
             t0: Instant::now(),
-            next_flow: AtomicU64::new(1),
             flows: Mutex::new(HashMap::new()),
         }
     }
@@ -342,29 +324,6 @@ impl Registry {
         });
     }
 
-    /// [`Registry::flow_send`] for runtimes without their own message
-    /// sequence numbers: allocates a fresh flow id, records the send, and
-    /// returns a [`FlowTag`] to travel with the message.
-    pub fn flow_send_tag(&self, pe: u16, cycle: u32, phase: Phase, name: &'static str) -> FlowTag {
-        let flow = self.next_flow.fetch_add(1, Ordering::Relaxed);
-        self.flow_send(pe, cycle, phase, name, flow);
-        FlowTag(flow)
-    }
-
-    /// Resolves a [`FlowTag`] at delivery. [`FlowTag::NONE`] is ignored.
-    pub fn flow_recv_tag(
-        &self,
-        pe: u16,
-        cycle: u32,
-        phase: Phase,
-        name: &'static str,
-        tag: FlowTag,
-    ) {
-        if tag != FlowTag::NONE {
-            self.flow_recv(pe, cycle, phase, name, tag.0);
-        }
-    }
-
     /// Number of flows sent but not yet delivered.
     pub fn flows_in_flight(&self) -> usize {
         self.flows
@@ -482,17 +441,14 @@ mod tests {
     fn flow_clocks_respect_happens_before() {
         let r = Registry::new(2);
         // PE 0 sends two flows; PE 1 receives them in order.
-        let a = r.flow_send_tag(0, 1, Phase::Mr, "mark");
-        let b = r.flow_send_tag(0, 1, Phase::Mr, "mark");
-        assert_ne!(a, FlowTag::NONE);
-        assert_ne!(a, b, "fresh ids per send");
+        r.flow_send(0, 1, Phase::Mr, "mark", 1);
+        r.flow_send(0, 1, Phase::Mr, "mark", 2);
         assert_eq!(r.flows_in_flight(), 2);
-        r.flow_recv_tag(1, 1, Phase::Mr, "mark", a);
-        r.flow_recv_tag(1, 1, Phase::Mr, "mark", b);
-        r.flow_recv_tag(1, 1, Phase::Mr, "mark", FlowTag::NONE);
+        r.flow_recv(1, 1, Phase::Mr, "mark", 1);
+        r.flow_recv(1, 1, Phase::Mr, "mark", 2);
         assert_eq!(r.flows_in_flight(), 0);
         let evs = r.drain_events();
-        assert_eq!(evs.len(), 4, "NONE tags record nothing");
+        assert_eq!(evs.len(), 4);
         let sends: Vec<&Event> = evs
             .iter()
             .filter(|e| e.kind == EventKind::FlowSend)
@@ -514,12 +470,12 @@ mod tests {
         let r = Registry::new(2);
         // Advance PE 0's clock well past PE 1's, then send 0 -> 1: the
         // receive must jump over the sender's clock, not just tick.
-        for _ in 0..9 {
-            let t = r.flow_send_tag(0, 0, Phase::Mr, "m");
-            r.flow_recv_tag(0, 0, Phase::Mr, "m", t);
+        for flow in 1..10 {
+            r.flow_send(0, 0, Phase::Mr, "m", flow);
+            r.flow_recv(0, 0, Phase::Mr, "m", flow);
         }
-        let t = r.flow_send_tag(0, 0, Phase::Mr, "m");
-        r.flow_recv_tag(1, 0, Phase::Mr, "m", t);
+        r.flow_send(0, 0, Phase::Mr, "m", 10);
+        r.flow_recv(1, 0, Phase::Mr, "m", 10);
         let evs = r.drain_events();
         let recv = evs.iter().rfind(|e| e.kind == EventKind::FlowRecv).unwrap();
         assert_eq!(recv.pe, 1);

@@ -6,7 +6,7 @@
 //! works even when the registry is the no-op — the in-flight set comes
 //! from the simulator, not from telemetry). The `events` array embeds
 //! one event object **per line** in exactly the schema of
-//! [`events_jsonl`](crate::trace::events_jsonl), so `dgr-trace` reads a
+//! [`events_jsonl`], so `dgr-trace` reads a
 //! flight file with the same line parser it uses for event streams.
 
 use std::fs;

@@ -58,7 +58,7 @@ pub use sched::{PeSchedSnapshot, SchedState, StateClock};
 pub use trace::{chrome_trace_json, events_jsonl, json_escape};
 
 #[cfg(feature = "telemetry")]
-pub use active::{FlowTag, HeartbeatHandle, PeShard, Registry, SpanGuard};
+pub use active::{HeartbeatHandle, PeShard, Registry, SpanGuard};
 #[cfg(feature = "telemetry")]
 pub use heap::Tracker as HeapTracker;
 #[cfg(feature = "telemetry")]
@@ -69,7 +69,7 @@ pub use noop::HeapTracker;
 #[cfg(not(feature = "telemetry"))]
 pub use noop::LifecycleTracker;
 #[cfg(not(feature = "telemetry"))]
-pub use noop::{FlowTag, HeartbeatHandle, PeShard, Registry, SpanGuard};
+pub use noop::{HeartbeatHandle, PeShard, Registry, SpanGuard};
 
 /// `true` when this build records telemetry (the `telemetry` feature is
 /// on), `false` when [`Registry`] is the zero-sized no-op.

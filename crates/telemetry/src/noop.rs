@@ -13,19 +13,6 @@ use crate::metrics::MetricsSnapshot;
 use crate::ring::Event;
 use crate::sched::{PeSchedSnapshot, SchedState};
 
-/// No-op counterpart of [`active::FlowTag`](crate::active::FlowTag).
-///
-/// Zero-sized, so a `(FlowTag, M)` work item is layout-identical to a
-/// bare `M` — flow stamping adds no bytes to hot-path messages in a
-/// default build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlowTag;
-
-impl FlowTag {
-    /// The "no flow" tag (the only value there is).
-    pub const NONE: FlowTag = FlowTag;
-}
-
 /// No-op counterpart of
 /// [`active::HeartbeatHandle`](crate::active::HeartbeatHandle).
 ///
@@ -197,30 +184,6 @@ impl Registry {
     /// Does nothing.
     #[inline(always)]
     pub fn flow_recv(&self, _pe: u16, _cycle: u32, _phase: Phase, _name: &'static str, _flow: u64) {
-    }
-
-    /// Does nothing; returns the zero-sized tag.
-    #[inline(always)]
-    pub fn flow_send_tag(
-        &self,
-        _pe: u16,
-        _cycle: u32,
-        _phase: Phase,
-        _name: &'static str,
-    ) -> FlowTag {
-        FlowTag
-    }
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn flow_recv_tag(
-        &self,
-        _pe: u16,
-        _cycle: u32,
-        _phase: Phase,
-        _name: &'static str,
-        _tag: FlowTag,
-    ) {
     }
 
     /// Always 0.
@@ -405,7 +368,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Registry>(), 0);
         assert_eq!(std::mem::size_of::<PeShard>(), 0);
         assert_eq!(std::mem::size_of::<SpanGuard<'_>>(), 0);
-        assert_eq!(std::mem::size_of::<FlowTag>(), 0);
         assert_eq!(std::mem::size_of::<HeartbeatHandle>(), 0);
         assert_eq!(std::mem::size_of::<LifecycleTracker>(), 0);
         assert_eq!(std::mem::size_of::<HeapTracker>(), 0);
@@ -471,8 +433,6 @@ mod tests {
         {
             let _g = r.span(0, 1, Phase::Gc, "cycle");
         }
-        let tag = r.flow_send_tag(0, 1, Phase::Mr, "mark");
-        r.flow_recv_tag(1, 1, Phase::Mr, "mark", tag);
         r.flow_send(0, 1, Phase::Mt, "mark", 7);
         r.flow_recv(1, 1, Phase::Mt, "mark", 7);
         r.sched_enter(0, SchedState::Work);

@@ -7,7 +7,7 @@
 //! per-cycle live/peak/trigger-cause table — the same numbers the live
 //! `/status` heap block shows, recovered from the JSONL alone.
 //!
-//! Like [`lifecycle`](crate::lifecycle), instants are keyed by cycle
+//! Like [`lifecycle`](mod@crate::lifecycle), instants are keyed by cycle
 //! with the last value winning, so re-runs appended to one stream
 //! report the final window of each cycle.
 

@@ -22,15 +22,16 @@
 //!   the marking wave: wide and shallow or narrow and deep.
 //! * [`summarize`] / [`diff_text`] — whole-run statistics and an A/B
 //!   comparison between two runs.
-//! * [`blame`] — speedup-gap attribution: folds the `sched_*` state
-//!   clock instants the work-stealing runtime emits into per-PE time
-//!   breakdowns and names the dominant gap cause (load imbalance,
+//! * [`blame`](mod@blame) — speedup-gap attribution: folds the `sched_*`
+//!   state clock instants the work-stealing runtime emits into per-PE
+//!   time breakdowns and names the dominant gap cause (load imbalance,
 //!   steal overhead, mailbox delay, parking, or true span limit).
-//! * [`lifecycle`] — vertex-lifecycle reconstruction: folds the `lc_*`
+//! * [`lifecycle`](mod@lifecycle) — vertex-lifecycle reconstruction:
+//!   folds the `lc_*` instants the GC driver closes each cycle with into
+//!   the per-cycle float/latency/message-cost table and the worst-floater
+//!   list.
+//! * [`heap`](mod@heap) — heap-pressure reconstruction: folds the `hp_*`
 //!   instants the GC driver closes each cycle with into the per-cycle
-//!   float/latency/message-cost table and the worst-floater list.
-//! * [`heap`] — heap-pressure reconstruction: folds the `hp_*` instants
-//!   the GC driver closes each cycle with into the per-cycle
 //!   live/peak/trigger-cause table.
 
 use std::collections::BTreeMap;

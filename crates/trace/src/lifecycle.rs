@@ -9,7 +9,7 @@
 //! table — the same numbers the live `/status` lifecycle block shows,
 //! recovered from the JSONL alone.
 //!
-//! Like [`blame`](crate::blame), instants are keyed by cycle with the
+//! Like [`blame`](mod@crate::blame), instants are keyed by cycle with the
 //! last value winning, so re-runs appended to one stream report the
 //! final ledger of each cycle.
 

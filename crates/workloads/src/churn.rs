@@ -11,10 +11,9 @@ use dgr_core::{coop, MarkMsg, MarkState};
 use dgr_graph::{GraphStore, NodeLabel, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One churn operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnOp {
     /// Allocate a cluster of `size` vertices and attach it to the root.
     /// If `cyclic`, the last vertex points back at the first.
