@@ -141,7 +141,7 @@ fn main() {
         pes,
         PartitionStrategy::Block,
         &telem,
-        &HeartbeatHandle::default(),
+        &HeartbeatHandle::new(),
     );
     let snap = gather(&telem);
     print_table(

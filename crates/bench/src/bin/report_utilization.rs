@@ -57,7 +57,7 @@ fn measure(shared: &SharedGraph, pes: u16) -> Cell {
                 pes,
                 PartitionStrategy::Block,
                 &telem,
-                &HeartbeatHandle::default(),
+                &HeartbeatHandle::new(),
             )
         });
         if best.as_ref().is_none_or(|b| ms < b.wall_ms) {

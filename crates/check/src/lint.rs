@@ -16,9 +16,10 @@
 //! 3. **mark-state confinement** — direct mark-slot mutation
 //!    (`mark_mut` / `slot_mut` / `mark_at_mut`) is allowed only in the
 //!    graph crate itself, the handler/cooperation/compressed/threaded
-//!    modules of `dgr-core` (the sequential and lock-based handler
-//!    implementations), and the fault injector of this crate (whose job
-//!    is to play a buggy implementation). Test modules are exempt.
+//!    modules of `dgr-core` (the sequential handler implementations and
+//!    the lock-free threaded pass), and the fault injector of this crate
+//!    (whose job is to play a buggy implementation). Test modules are
+//!    exempt.
 //! 4. **deque confinement** — constructing a `StealDeque` is allowed only
 //!    inside `crates/sim/src`: the work-stealing runtime owns the deques
 //!    (one per PE, owner-push/owner-pop, thieves steal through the

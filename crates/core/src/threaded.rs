@@ -1,9 +1,10 @@
 //! `mark1` on the work-stealing parallel runtime.
 //!
-//! Each marking task touches exactly one vertex and never holds a lock
-//! while waiting on another PE — the property Section 6 uses to argue
-//! that resource deadlock between marking tasks is impossible and
-//! interference with the reduction process is minimal.
+//! Each marking task touches exactly one vertex and takes no vertex lock
+//! — a stronger form of the property Section 6 uses (marking tasks never
+//! nest vertex locks) to argue that resource deadlock between marking
+//! tasks is impossible and interference with the reduction process is
+//! minimal.
 //!
 //! This module is used by the scalability experiments (T5): the same
 //! algorithm that the deterministic simulator executes runs here on one
@@ -16,10 +17,9 @@
 //! * the per-vertex mark state lives in the shared graph's dense
 //!   [`MarkWords`](dgr_graph::MarkWords) array: the Unmarked → Transient
 //!   transition is a CAS claim, the count drain of a `Return` is one
-//!   `fetch_sub` — the vertex mutex is taken exactly once per reachable
-//!   vertex (by the claim winner, to read the child list against
-//!   concurrent mutators) and **never** on the return path, which is half
-//!   of all marking tasks;
+//!   `fetch_sub`, and no task takes a vertex lock — no mutator runs
+//!   beside a threaded pass, so the [`SharedGraph`] is frozen and a
+//!   claimant reads the child list through a plain `&Vertex`;
 //! * tasks are allocation-free `u64` words carrying a saturating depth
 //!   hint, so the runtime's LIFO pop / oldest-first steal discipline
 //!   executes deep work locally and hands thieves the biggest remaining
@@ -114,7 +114,7 @@ pub fn run_mark1_threaded(
 /// O(1) epoch bump; stale per-vertex state is reset lazily on first
 /// access. Must not run concurrently with a marking pass.
 pub fn reset_shared_r(shared: &SharedGraph) {
-    shared.begin_mark_cycle(Slot::R);
+    shared.begin_r_cycle();
 }
 
 /// Runs one `mark1` pass over an already-shared graph whose R slots are
@@ -136,7 +136,7 @@ pub fn run_mark1_shared(
         num_pes,
         strategy,
         &Registry::new(num_pes),
-        &HeartbeatHandle::default(),
+        &HeartbeatHandle::new(),
     )
 }
 
@@ -193,17 +193,16 @@ pub fn run_mark1_shared_observed(
                     emit(scope, return_task(par, depth));
                     return;
                 }
-                // The winner of the CAS claim owns the expansion; the
-                // vertex mutex is held only for the child-list read (the
-                // one field a concurrent mutator could be rewriting).
-                let guard = shared.lock(v);
-                if guard.is_free() {
-                    drop(guard);
+                // The winner of the CAS claim owns the expansion. The
+                // graph is frozen while shared, so the child list is read
+                // through a plain `&Vertex`.
+                let vertex = shared.vertex(v);
+                if vertex.is_free() {
                     emit(scope, return_task(par, depth));
                     return;
                 }
                 let mut n_children = 0u32;
-                guard.for_each_r_child(|_| n_children += 1);
+                vertex.for_each_r_child(|_| n_children += 1);
                 let parent = if par == ROOTPAR {
                     MarkParent::RootPar
                 } else {
@@ -213,15 +212,11 @@ pub fn run_mark1_shared_observed(
                     Claim::Won(_) if n_children > 0 => {
                         // Spawn deepest-last so the runtime chains the
                         // final child and thieves get the first ones.
-                        guard.for_each_r_child(|c| {
+                        vertex.for_each_r_child(|c| {
                             emit(scope, mark_task(c, u64::from(v.raw()), depth + 1));
                         });
-                        drop(guard);
                     }
-                    Claim::Won(_) | Claim::Lost => {
-                        drop(guard);
-                        emit(scope, return_task(par, depth));
-                    }
+                    Claim::Won(_) | Claim::Lost => emit(scope, return_task(par, depth)),
                 }
             } else {
                 // A return task: drain one outstanding child of `to`.
@@ -385,5 +380,58 @@ mod tests {
         }
         let back = shared.into_store();
         assert!(back.mark(back.root().unwrap(), Slot::R).is_marked());
+    }
+
+    #[test]
+    fn shared_passes_round_trip_the_store_losslessly() {
+        fn flat(_: &NodeLabel) -> u32 {
+            64
+        }
+        // Custom weights and cost model, a freed vertex, and T-slot marks
+        // written by an M_T pass on the deterministic simulator.
+        let mut g = tree(5, 3);
+        let root = g.root().unwrap();
+        g.set_vertex_weight(root, 7);
+        g.set_cost_model(flat);
+        g.grow(1);
+        let extra = g.alloc(NodeLabel::If).unwrap();
+        g.connect(root, extra);
+        g.free(VertexId::new(64));
+        let mut tasks = dgr_graph::TaskEndpoints::new();
+        tasks.push_task(None, root);
+        crate::driver::run_mark3(&mut g, &tasks, &crate::driver::MarkRunConfig::default());
+        assert!(g.ids().any(|v| g.mark(v, Slot::T).is_marked()));
+        let before = g.clone();
+        let epoch_r = g.mark_epoch(Slot::R);
+
+        let shared = SharedGraph::from_store(g);
+        for _ in 0..3 {
+            reset_shared_r(&shared);
+            run_mark1_shared(&shared, 2, PartitionStrategy::Modulo);
+        }
+        let back = shared.into_store();
+
+        assert_eq!(back.mark_epoch(Slot::R), epoch_r + 3);
+        assert_eq!(back.mark_epoch(Slot::T), before.mark_epoch(Slot::T));
+        for v in back.ids() {
+            assert_eq!(back.vertex_bytes(v), before.vertex_bytes(v), "{v} bytes");
+            assert_eq!(back.mark(v, Slot::T), before.mark(v, Slot::T), "{v} T slot");
+        }
+        assert_eq!(back.live_bytes(), before.live_bytes());
+        assert_eq!(back.alloc_bytes_total(), before.alloc_bytes_total());
+        let r = oracle::reachable_r(&back);
+        for v in back.live_ids() {
+            assert_eq!(r.contains(v), back.mark(v, Slot::R).is_marked(), "{v}");
+        }
+        // Same free list in the same order, and the same cost model.
+        let drain = |mut g: GraphStore| {
+            std::iter::from_fn(move || {
+                g.alloc(NodeLabel::Cons)
+                    .ok()
+                    .map(|v| (v, g.vertex_bytes(v)))
+            })
+            .collect::<Vec<_>>()
+        };
+        assert_eq!(drain(back), drain(before));
     }
 }

@@ -170,7 +170,7 @@ impl GcDriver {
             stats: GcStats::default(),
             last_report: CycleReport::default(),
             timeline: VecDeque::new(),
-            heartbeat: HeartbeatHandle::default(),
+            heartbeat: HeartbeatHandle::new(),
             lifecycle: LifecycleTracker::new(),
         }
     }

@@ -1,13 +1,12 @@
 //! Struct-of-arrays atomic mark words: the hot per-vertex marking state
 //! of one [`Slot`], packed into dense atomic arrays.
 //!
-//! The lock-based threaded runtime kept a vertex's marking state inside
-//! the `Mutex<Vertex>` it shares with the (cold) reduction fields, so the
-//! marking wave paid a mutex acquisition *and* a whole-vertex cache line
-//! per color transition — and the `Return` half of the wave (one return
-//! per mark, exactly half of all marking tasks) took the lock only to
-//! decrement `mt_cnt`. This module moves that state out of the vertex
-//! structs into two dense arrays:
+//! Kept inside [`Vertex`](crate::Vertex), beside the (cold) reduction
+//! fields, a vertex's marking state would cost a threaded marking wave a
+//! whole-vertex cache line per color transition — and the `Return` half
+//! of the wave (one return per mark, exactly half of all marking tasks)
+//! touches the vertex only to decrement `mt_cnt`. This module moves that
+//! state out of the vertex structs into two dense arrays:
 //!
 //! * **state words** — `epoch(32) | mt_cnt(30) | color(2)` per vertex.
 //!   Eight vertices share a cache line, so a DFS-numbered subtree's marks
@@ -28,8 +27,8 @@
 use dgr_atomic::{AtomicU64Api, Atomics, Ordering, Site, StdAtomics};
 
 use crate::ids::VertexId;
-use crate::vertex::{Color, MarkParent, MarkSlot, Vertex};
-use crate::Slot;
+use crate::vertex::{Color, MarkParent, MarkSlot};
+use crate::{GraphStore, Slot};
 
 /// Parent encoding: ordinary vertices use their raw id; the dummy roots
 /// and "no parent" take the top ids (a store can therefore hold at most
@@ -144,20 +143,22 @@ impl<A: Atomics> MarkWords<A> {
         }
     }
 
-    /// Builds the array from existing vertex slots (entering the shared
+    /// Builds the array from a store's `slot` marks (entering the shared
     /// form mid-computation must not lose marks a simulator pass wrote).
-    pub fn from_slots(verts: &[Vertex], slot: Slot) -> Self {
-        let mark_words = verts
-            .iter()
-            .map(|v| {
-                let s = v.slot(slot);
+    /// The words carry each slot's own epoch; the store's current epoch
+    /// for `slot` is read separately with [`GraphStore::mark_epoch`].
+    pub fn from_store(store: &GraphStore, slot: Slot) -> Self {
+        let mark_words = store
+            .ids()
+            .map(|id| {
+                let s = store.vertex(id).slot(slot);
                 A::U64::new(encode_state(s.epoch, s.mt_cnt, s.color))
             })
             .collect();
-        let par_words = verts
-            .iter()
-            .map(|v| {
-                let s = v.slot(slot);
+        let par_words = store
+            .ids()
+            .map(|id| {
+                let s = store.vertex(id).slot(slot);
                 A::U64::new((u64::from(s.epoch) << 32) | u64::from(encode_parent(s.mt_par)))
             })
             .collect();
@@ -184,7 +185,7 @@ impl<A: Atomics> MarkWords<A> {
     /// Acquire pairs with the Release stores of claim/complete: a worker
     /// observing a non-Unmarked color happens-after everything the
     /// transitioning worker did first, so settling a duplicate visit on
-    /// the probe alone is as sound as doing it under the vertex lock.
+    /// the probe alone is as sound as a locked read of the vertex.
     pub fn probe(&self, i: usize, epoch: u32) -> Option<Color> {
         // ordering: Acquire pairs with the claim/complete Release stores
         // (see the method docs above).
@@ -297,39 +298,32 @@ impl<A: Atomics> MarkWords<A> {
         decode_parent(par as u32)
     }
 
-    /// Clears vertex `i`'s words to the never-written state (a recycled
-    /// slot must not inherit the previous occupant's published marks).
-    pub fn clear(&self, i: usize) {
-        // ordering: Release — a recycled slot's fresh state must not be
-        // reordered behind the old occupant's published marks.
-        self.mark_words[i].store(0, Ordering::Release);
-        self.par_words[i].store(0, Ordering::Release);
-    }
-
-    /// Writes the array's state back into the vertices' slots (leaving
-    /// the shared form). A never-written word leaves the slot alone; a
-    /// word from the same epoch the slot already carries only refreshes
-    /// the fields the marking wave owns (color, count, parent), so
-    /// simulator-written extras like the priority survive a round-trip.
-    pub fn write_back(&self, verts: &mut [Vertex], slot: Slot) {
-        for (i, v) in verts.iter_mut().enumerate() {
+    /// Writes the array's state back into the store's `slot` marks and
+    /// makes `epoch` the slot's current epoch (leaving the shared form).
+    /// A never-written word leaves the slot alone; a word from the same
+    /// epoch the slot already carries only refreshes the fields the
+    /// marking wave owns (color, count, parent), so simulator-written
+    /// extras like the priority survive a round-trip.
+    pub fn write_back(&self, store: &mut GraphStore, slot: Slot, epoch: u32) {
+        store.set_mark_epoch(slot, epoch);
+        for i in 0..self.len() {
             // ordering: Acquire — write-back happens-after every worker's
             // published transitions (same pairing as `probe`).
             let w = self.mark_words[i].load(Ordering::Acquire);
-            let epoch = state_epoch(w);
-            if epoch == 0 {
+            let word_epoch = state_epoch(w);
+            if word_epoch == 0 {
                 continue;
             }
             // ordering: Acquire pairs with the winner's parent Release.
             let par_w = self.par_words[i].load(Ordering::Acquire);
-            let mt_par = if (par_w >> 32) as u32 == epoch {
+            let mt_par = if (par_w >> 32) as u32 == word_epoch {
                 decode_parent(par_w as u32)
             } else {
                 None
             };
-            let s = v.slot_mut(slot);
-            if s.epoch != epoch {
-                *s = MarkSlot::fresh(epoch);
+            let s = store.vertex_mut(VertexId::new(i as u32)).slot_mut(slot);
+            if s.epoch != word_epoch {
+                *s = MarkSlot::fresh(word_epoch);
             }
             s.color = code_color(w);
             s.mt_cnt = state_cnt(w);
@@ -396,35 +390,34 @@ mod tests {
 
     #[test]
     fn slots_roundtrip_through_the_array() {
-        let mut verts = vec![Vertex::new(NodeLabel::Hole), Vertex::new(NodeLabel::Hole)];
+        let mut g = GraphStore::with_capacity(2);
+        let a = g.alloc(NodeLabel::Hole).unwrap();
+        let b = g.alloc(NodeLabel::Hole).unwrap();
+        let e = g.mark_epoch(Slot::R);
         {
-            let s = verts[1].mark_at_mut(Slot::R, 7);
+            let s = g.mark_mut(b, Slot::R);
             s.color = Color::Transient;
             s.mt_cnt = 2;
-            s.mt_par = Some(MarkParent::Vertex(VertexId::new(0)));
+            s.mt_par = Some(MarkParent::Vertex(a));
         }
-        let words: MarkWords = MarkWords::from_slots(&verts, Slot::R);
-        assert_eq!(words.probe_state(1, 7), Some((Color::Transient, 2)));
+        let words: MarkWords = MarkWords::from_store(&g, Slot::R);
+        assert_eq!(words.probe_state(b.index(), e), Some((Color::Transient, 2)));
         assert_eq!(
-            words.complete_child(1, 7),
+            words.complete_child(b.index(), e),
             None,
             "one of two children returned"
         );
-        let mut back = verts.clone();
-        words.write_back(&mut back, Slot::R);
-        let s = back[1].mark_at(Slot::R, 7);
+        let mut back = g.clone();
+        words.write_back(&mut back, Slot::R, e);
+        let s = back.mark(b, Slot::R);
         assert!(s.is_transient());
         assert_eq!(s.mt_cnt, 1);
-        assert_eq!(s.mt_par, Some(MarkParent::Vertex(VertexId::new(0))));
-        assert!(back[0].mark_at(Slot::R, 7).is_unmarked(), "untouched");
-    }
-
-    #[test]
-    fn clear_forgets_published_marks() {
-        let words: MarkWords = MarkWords::new(1);
-        words.try_claim(0, 3, 0, MarkParent::RootPar);
-        words.clear(0);
-        assert_eq!(words.probe(0, 3), None);
+        assert_eq!(s.mt_par, Some(MarkParent::Vertex(a)));
+        assert!(back.mark(a, Slot::R).is_unmarked(), "untouched");
+        // The write-back installs the epoch it is given.
+        words.write_back(&mut back, Slot::R, e + 1);
+        assert_eq!(back.mark_epoch(Slot::R), e + 1);
+        assert!(back.mark(b, Slot::R).is_unmarked(), "older cycle is stale");
     }
 
     #[test]

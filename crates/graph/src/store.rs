@@ -138,11 +138,11 @@ pub enum HeapDelta {
 /// stamps. Epochs start at 1 so the all-zero state of a fresh vertex is
 /// always stale (= reads as reset / untouched).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Epochs {
+struct Epochs {
     /// Current marking cycle per slot, indexed by [`Slot::index`].
-    pub mark: [u32; 2],
+    mark: [u32; 2],
     /// Current touch epoch.
-    pub touch: u32,
+    touch: u32,
 }
 
 impl Default for Epochs {
@@ -159,8 +159,9 @@ impl Default for Epochs {
 /// between-cycle resets O(1).
 ///
 /// The store itself is runtime-agnostic data; the deterministic simulator
-/// holds one directly, and the threaded runtime shards it behind per-vertex
-/// locks (see `dgr-sim`).
+/// holds one directly, and the threaded runtime freezes one for the length
+/// of a marking pass, with its R-slot marks moved out into dense atomic
+/// [`MarkWords`](crate::MarkWords) (see `dgr-sim`'s `SharedGraph`).
 ///
 /// # Example
 ///
@@ -417,6 +418,13 @@ impl GraphStore {
         self.epochs.mark[slot.index()] = self.epochs.mark[slot.index()].wrapping_add(1);
     }
 
+    /// Sets the marking epoch of a slot, for
+    /// [`MarkWords::write_back`](crate::MarkWords::write_back) to install
+    /// the epoch of cycles that ran outside the store.
+    pub(crate) fn set_mark_epoch(&mut self, slot: Slot, epoch: u32) {
+        self.epochs.mark[slot.index()] = epoch;
+    }
+
     /// The epoch-normalized marking state of vertex `v` in `slot`: the
     /// stored slot if it belongs to the current cycle, a reset slot
     /// otherwise. This is the canonical way to *read* marks.
@@ -523,53 +531,6 @@ impl GraphStore {
     /// *dereference* of an eagerly-requested vertex).
     pub fn remove_requester(&mut self, b: VertexId, a: Requester) -> bool {
         self.verts[b.index()].remove_requester(a)
-    }
-
-    /// Decomposes the store into its vertices, free list, root and epoch
-    /// counters, for conversion into a shared (per-vertex-locked)
-    /// representation by a parallel runtime.
-    pub fn into_parts(self) -> (Vec<Vertex>, Vec<VertexId>, Option<VertexId>, Epochs) {
-        (self.verts, self.free, self.root, self.epochs)
-    }
-
-    /// Rebuilds a store from parts produced by [`GraphStore::into_parts`]
-    /// (or assembled by a parallel runtime). Free-list flags are
-    /// resynchronized from the `free` vector, and byte weights are
-    /// re-derived from each live vertex's current label under the
-    /// *default* cost model (the parts carry no model, and a rebuilt
-    /// store restarts its allocation accounting).
-    pub fn from_parts(
-        mut verts: Vec<Vertex>,
-        free: Vec<VertexId>,
-        root: Option<VertexId>,
-        epochs: Epochs,
-    ) -> Self {
-        for v in verts.iter_mut() {
-            v.in_free_list = false;
-        }
-        for &id in &free {
-            verts[id.index()].in_free_list = true;
-        }
-        let mut weights = vec![0u32; verts.len()];
-        let mut live_bytes = 0u64;
-        for (w, v) in weights.iter_mut().zip(verts.iter()) {
-            if !v.in_free_list {
-                *w = default_cost_model(&v.label);
-                live_bytes += u64::from(*w);
-            }
-        }
-        GraphStore {
-            verts,
-            free,
-            root,
-            epochs,
-            weights,
-            live_bytes,
-            alloc_bytes_total: live_bytes,
-            cost_model: default_cost_model,
-            journal: Vec::new(),
-            journal_on: false,
-        }
     }
 
     /// Verifies store-wide structural invariants (for tests): parallel
@@ -775,22 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn parts_roundtrip_preserves_epochs() {
-        use crate::vertex::Color;
-        let mut g = GraphStore::with_capacity(2);
-        let a = g.alloc(NodeLabel::Hole).unwrap();
-        g.mark_mut(a, Slot::R).color = Color::Marked;
-        g.begin_mark_cycle(Slot::R);
-        g.begin_mark_cycle(Slot::R);
-        let epoch = g.mark_epoch(Slot::R);
-        let (verts, free, root, epochs) = g.into_parts();
-        let g2 = GraphStore::from_parts(verts, free, root, epochs);
-        assert_eq!(g2.mark_epoch(Slot::R), epoch);
-        // The stale pre-reset mark stays invisible after the roundtrip.
-        assert!(g2.mark(a, Slot::R).is_unmarked());
-    }
-
-    #[test]
     fn byte_accounting_tracks_alloc_and_free() {
         let mut g = GraphStore::with_capacity(4);
         assert_eq!(g.live_bytes(), 0);
@@ -871,21 +816,6 @@ mod tests {
         g.set_heap_journal(false);
         let _ = g.alloc(NodeLabel::Hole).unwrap();
         assert!(!g.heap_journal_pending(), "journal off records nothing");
-    }
-
-    #[test]
-    fn from_parts_rederives_weights_from_labels() {
-        let mut g = GraphStore::with_capacity(3);
-        let a = g.alloc(NodeLabel::If).unwrap();
-        let b = g.alloc(NodeLabel::lit_int(1)).unwrap();
-        g.free(b);
-        g.set_vertex_weight(a, 7); // custom weight is NOT carried by parts
-        let (verts, free, root, epochs) = g.into_parts();
-        let g2 = GraphStore::from_parts(verts, free, root, epochs);
-        assert_eq!(g2.vertex_bytes(a), 40, "re-derived from the If label");
-        assert_eq!(g2.live_bytes(), 40);
-        assert_eq!(g2.alloc_bytes_total(), 40);
-        assert!(g2.check_consistency().is_ok());
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   per-PE Chase–Lev deques ([`StealDeque`]) with a sharded lock-free
 //!   mailbox mesh ([`MailboxGrid`]) for cross-PE envelopes, adaptive
 //!   parking, and critical-path depth hints on its `u64` tasks. Its
-//!   marking passes run over a [`SharedGraph`], whose per-vertex mutexes
-//!   provide exactly the paper's atomicity granularity. Termination is
-//!   detected with a global in-flight task counter (quiescence).
+//!   marking passes run over a [`SharedGraph`]: a graph store frozen for
+//!   the length of the pass (no mutator runs beside it) whose R-slot marks
+//!   are dense atomic words, so no task takes a lock and each state
+//!   transition is a CAS or an owned decrement. Termination is detected
+//!   with a global in-flight task counter (quiescence).
 //!
 //! # Example
 //!

@@ -302,8 +302,9 @@ impl StealRuntime {
     /// executes on some PE's worker thread — *not* necessarily the task's
     /// destination PE's: a task spawned for PE `d` starts on `d` (via
     /// deque or mailbox) but may be stolen by an idle PE. State shared
-    /// between tasks must therefore be location-independent (atomics, or
-    /// the per-vertex locks of a [`SharedGraph`](crate::SharedGraph)).
+    /// between tasks must therefore be location-independent: atomics such
+    /// as the mark words of a [`SharedGraph`](crate::SharedGraph), or data
+    /// no task writes, like the frozen graph itself.
     pub fn run<F>(&self, initial: Vec<(PeId, u64)>, handler: F) -> StealStats
     where
         F: Fn(&mut SpawnScope<'_>, u64) + Sync,
@@ -312,7 +313,7 @@ impl StealRuntime {
             initial,
             handler,
             &Registry::new(self.num_pes),
-            &HeartbeatHandle::default(),
+            &HeartbeatHandle::new(),
         )
     }
 

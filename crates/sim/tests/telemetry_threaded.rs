@@ -65,7 +65,7 @@ mod with_feature {
                 }
             },
             &telem,
-            &HeartbeatHandle::default(),
+            &HeartbeatHandle::new(),
         );
         let snap = telem.snapshot();
         assert_eq!(
